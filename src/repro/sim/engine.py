@@ -16,27 +16,26 @@ tree PLRU would not fit):
 Two implementations share the same :class:`CacheSimState`:
 
 - :func:`_core_scalar` — the reference, a plain temporal-order loop;
-- a NumPy *lockstep-over-sets* fast path — accesses are stably grouped
-  by set and round ``r`` retires the ``r``-th access of every active
-  set at once (sets are independent, so per-set temporal order is all
-  that matters).
+- the set-lockstep fast path — :class:`repro.soc.lockstep.SetLockstep`
+  (shared with the true-LRU cache) collapses same-line runs, groups
+  accesses by set and drives :func:`_plru_step` once per round.
 
-The fast path first collapses runs of consecutive same-line accesses
-(guaranteed hits on a write-allocate cache) so element-granularity CPU
-sweeps cost line-granularity work.  Both paths are pinned bit-identical
-(hit masks, miss order, writebacks, final state) by property tests in
-``tests/sim``; ``vectorized=False`` or an active fault injection forces
-the scalar reference, like every other vectorized seam in the repo.
+Both paths are pinned bit-identical (hit masks, miss order, writebacks,
+final state) by property tests in ``tests/sim``; ``vectorized=False``
+or an active fault injection forces the scalar reference, like every
+other vectorized seam in the repo.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple
+import copy
+from typing import Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.soc.cache import AccessResult
+from repro.soc.lockstep import SetLockstep, Step
 from repro.units import is_power_of_two
 
 
@@ -81,24 +80,19 @@ class CacheSimState:
         self.mru = np.zeros(num_sets, dtype=np.int64)
         #: per-set dirty bitmask.
         self.dirty = np.zeros(num_sets, dtype=np.int64)
-
-    @property
-    def resident_lines(self) -> int:
-        """Valid lines currently held."""
-        return int(np.count_nonzero(self.tags != -1))
-
-    @property
-    def dirty_lines(self) -> int:
-        """Dirty lines currently held."""
-        nonzero = self.dirty[self.dirty != 0]
-        return int(sum(bin(int(v)).count("1") for v in nonzero))
+        #: valid and dirty line counts, kept in step with the arrays.
+        self.resident_lines = 0
+        self.dirty_lines = 0
 
     def invalidate(self) -> int:
         """Drop every line without writing back (returns lines dropped)."""
         count = self.resident_lines
-        self.tags.fill(-1)
-        self.mru.fill(0)
-        self.dirty.fill(0)
+        if count:
+            self.tags.fill(-1)
+            self.mru.fill(0)
+            self.dirty.fill(0)
+            self.resident_lines = 0
+            self.dirty_lines = 0
         return count
 
     def flush(self) -> int:
@@ -109,43 +103,17 @@ class CacheSimState:
 
     def clone(self) -> "CacheSimState":
         """An independent copy (used by the equivalence tests)."""
-        copy = CacheSimState(self.num_sets, self.ways, self.line_size)
-        copy.tags = self.tags.copy()
-        copy.mru = self.mru.copy()
-        copy.dirty = self.dirty.copy()
-        return copy
+        return copy.deepcopy(self)
 
     def state_equal(self, other: "CacheSimState") -> bool:
-        """Bit-exact state comparison."""
+        """Bit-exact state comparison (arrays and counters)."""
         return (
             np.array_equal(self.tags, other.tags)
             and np.array_equal(self.mru, other.mru)
             and np.array_equal(self.dirty, other.dirty)
+            and self.resident_lines == other.resident_lines
+            and self.dirty_lines == other.dirty_lines
         )
-
-
-@dataclass
-class SimAccessResult:
-    """Outcome of replaying one trace segment through the simulator.
-
-    Mirrors :class:`repro.soc.cache.AccessResult`: per-access hit flags
-    in original order, missing line addresses in temporal order
-    (line-aligned, for the next level), and the dirty writeback count.
-    """
-
-    hits: np.ndarray
-    miss_line_addresses: np.ndarray
-    writeback_lines: int
-
-    @property
-    def num_hits(self) -> int:
-        """Number of hits in the segment."""
-        return int(np.count_nonzero(self.hits))
-
-    @property
-    def num_misses(self) -> int:
-        """Number of misses in the segment."""
-        return len(self.hits) - self.num_hits
 
 
 def access_trace(
@@ -155,30 +123,23 @@ def access_trace(
     write_back: bool = True,
     write_allocate: bool = True,
     vectorized: bool = True,
-) -> SimAccessResult:
+) -> AccessResult:
     """Replay a trace segment through the bit-PLRU cache.
 
     ``vectorized=False`` (or an active fault injection) runs the scalar
-    reference on the raw trace; otherwise the run-collapsed lockstep
-    fast path runs, producing bit-identical results.
+    reference on the raw trace; otherwise the set-lockstep fast path
+    runs, producing bit-identical results.
     """
-    n = len(addresses)
-    if n == 0:
-        return SimAccessResult(
-            hits=np.empty(0, dtype=bool),
-            miss_line_addresses=np.empty(0, dtype=np.int64),
-            writeback_lines=0,
-        )
+    if len(addresses) == 0:
+        return AccessResult.empty()
     lines = np.asarray(addresses, dtype=np.int64) >> state.line_shift
     writes = np.ascontiguousarray(is_write, dtype=bool)
-    if vectorized and not _injection_active():
-        return _access_fast(state, lines, writes, write_back, write_allocate)
-    hits, miss_lines, writebacks = _core_scalar(
-        state, lines, writes, write_back, write_allocate
-    )
-    return SimAccessResult(
+    fast = vectorized and not _injection_active()
+    replay = _access_fast if fast else _core_scalar
+    hits, writebacks = replay(state, lines, writes, write_back, write_allocate)
+    return AccessResult(
         hits=hits,
-        miss_line_addresses=miss_lines << state.line_shift,
+        miss_line_addresses=lines[~hits] << state.line_shift,
         writeback_lines=writebacks,
     )
 
@@ -194,12 +155,13 @@ def _core_scalar(
     writes: np.ndarray,
     write_back: bool,
     write_allocate: bool,
-) -> Tuple[np.ndarray, np.ndarray, int]:
+) -> Tuple[np.ndarray, int]:
     """Temporal-order replay; the semantics other paths must match."""
     n = len(lines)
     hits = np.zeros(n, dtype=bool)
-    misses: List[int] = []
     writebacks = 0
+    resident = state.resident_lines
+    dirty_lines = state.dirty_lines
     tags = state.tags
     mru = state.mru
     dirty = state.dirty
@@ -223,7 +185,6 @@ def _core_scalar(
         if way >= 0:
             hits[i] = True
         else:
-            misses.append(line)
             if not (write_allocate or not write_list[i]):
                 continue  # no-allocate write miss: bypass untouched
             # victim: first invalid way, else first clear MRU bit
@@ -238,18 +199,21 @@ def _core_scalar(
                     if not (m >> w) & 1:
                         way = w
                         break
-            if row[way] != -1 and (int(dirty[set_i]) >> way) & 1:
+            if row[way] == -1:
+                resident += 1
+            elif (int(dirty[set_i]) >> way) & 1:
                 writebacks += 1
+                dirty_lines -= 1
             row[way] = tag
             dirty[set_i] &= ~(1 << way)
-        if make_dirty:
+        if make_dirty and not (int(dirty[set_i]) >> way) & 1:
             dirty[set_i] |= 1 << way
+            dirty_lines += 1
         m = int(mru[set_i]) | (1 << way)
         mru[set_i] = (1 << way) if m == full and ways > 1 else m
-    miss_lines = (
-        np.array(misses, dtype=np.int64) if misses else np.empty(0, dtype=np.int64)
-    )
-    return hits, miss_lines, writebacks
+    state.resident_lines = resident
+    state.dirty_lines = dirty_lines
+    return hits, writebacks
 
 
 # ----------------------------------------------------------------------
@@ -257,131 +221,61 @@ def _core_scalar(
 # ----------------------------------------------------------------------
 
 
-def _access_fast(
-    state: CacheSimState,
-    lines: np.ndarray,
-    writes: np.ndarray,
-    write_back: bool,
-    write_allocate: bool,
-) -> SimAccessResult:
-    """Run-collapse + lockstep-over-sets replay (bit-identical)."""
-    n = len(lines)
-    core_lines = lines
-    core_writes = writes
-    keep_idx = None
-    if write_back and write_allocate and n > 1:
-        # Consecutive same-line accesses after the first are guaranteed
-        # hits on a write-allocate cache (the first access leaves the
-        # line resident): collapse each run to one access whose write
-        # flag is the OR of the run (dirty state is preserved).
-        keep = np.empty(n, dtype=bool)
-        keep[0] = True
-        np.not_equal(lines[1:], lines[:-1], out=keep[1:])
-        idx = np.flatnonzero(keep)
-        if len(idx) < n:
-            keep_idx = idx
-            core_lines = lines[idx]
-            core_writes = np.logical_or.reduceat(writes, idx)
-
-    m = len(core_lines)
-    if m < _LOCKSTEP_MIN_ACCESSES:
-        core_hits, miss_lines, writebacks = _core_scalar(
-            state, core_lines, core_writes, write_back, write_allocate
+def _access_fast(state: CacheSimState, lines: np.ndarray, writes: np.ndarray,
+                 write_back: bool, write_allocate: bool
+                 ) -> Tuple[np.ndarray, int]:
+    """Set-lockstep replay (bit-identical to the scalar reference)."""
+    segment = SetLockstep(lines, writes, state.set_mask, state.set_bits,
+                          collapse=write_allocate)
+    m = len(segment.lines)
+    if m < _LOCKSTEP_MIN_ACCESSES or segment.rounds * _LOCKSTEP_SKEW_FACTOR > m:
+        core_hits, writebacks = _core_scalar(
+            state, segment.lines, segment.writes, write_back, write_allocate
         )
-    else:
-        core_hits, miss_lines, writebacks = _core_lockstep(
-            state, core_lines, core_writes, write_back, write_allocate
-        )
-
-    if keep_idx is None:
-        hits = core_hits
-    else:
-        hits = np.ones(n, dtype=bool)
-        hits[keep_idx] = core_hits
-    return SimAccessResult(
-        hits=hits,
-        miss_line_addresses=miss_lines << state.line_shift,
-        writeback_lines=writebacks,
-    )
+        return segment.expand(core_hits), writebacks
+    return segment.run(_plru_step(state, write_back, write_allocate))
 
 
-def _core_lockstep(
-    state: CacheSimState,
-    lines: np.ndarray,
-    writes: np.ndarray,
-    write_back: bool,
-    write_allocate: bool,
-) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Lockstep-over-sets replay.
-
-    A stable argsort groups accesses by set while preserving temporal
-    order inside each set; round ``r`` then retires the ``r``-th access
-    of every set that still has one, as one batch of NumPy bit-ops.
-    Sets are independent, so the result is bit-identical to the scalar
-    temporal replay.
-    """
-    n = len(lines)
-    sets_idx = lines & state.set_mask
-    tags_in = lines >> state.set_bits
-    order = np.argsort(sets_idx, kind="stable")
-    s_sets = sets_idx[order]
-    s_tags = tags_in[order]
-    s_writes = writes[order]
-    uniq, starts, counts = np.unique(s_sets, return_index=True, return_counts=True)
-    desc = np.argsort(-counts, kind="stable")
-    uniq = uniq[desc]
-    starts = starts[desc]
-    counts = counts[desc]
-    if int(counts[0]) * _LOCKSTEP_SKEW_FACTOR > n:
-        return _core_scalar(state, lines, writes, write_back, write_allocate)
-    neg_counts = -counts
-    hits = np.zeros(n, dtype=bool)
-    writebacks = 0
-    tags = state.tags
-    mru = state.mru
-    dirty = state.dirty
-    ways = state.ways
-    full = state.full_mask
+def _plru_step(state: CacheSimState, write_back: bool,
+               write_allocate: bool) -> Step:
+    """One lockstep round of bit-PLRU as NumPy bit-ops over the active
+    sets (see :mod:`repro.soc.lockstep`)."""
+    tags, mru, dirty = state.tags, state.mru, state.dirty
+    ways, full = state.ways, state.full_mask
     way_range = np.arange(ways, dtype=np.int64)
     one = np.int64(1)
-    for r in range(int(counts[0])):
-        active = int(np.searchsorted(neg_counts, -r, side="left"))
-        su = uniq[:active]
-        pos = starts[:active] + r
-        t = s_tags[pos]
-        w = s_writes[pos]
-        rows = tags[su]  # (active, ways)
+
+    def step(su: np.ndarray, t: np.ndarray,
+             w: np.ndarray) -> Tuple[np.ndarray, int]:
+        rows = tags.take(su, axis=0)  # (active, ways)
+        m = mru[su]
+        d = dirty[su]
         hit_ways = rows == t[:, None]
         hit = hit_ways.any(axis=1)
-        hit_way = np.argmax(hit_ways, axis=1)
-        if write_allocate:
-            alloc = ~hit
-        else:
-            alloc = ~hit & ~w
+        alloc = ~hit if write_allocate else ~hit & ~w
         # victim: first invalid way, else first clear MRU bit
-        m = mru[su]
         invalid = rows == -1
         has_invalid = invalid.any(axis=1)
-        invalid_way = np.argmax(invalid, axis=1)
-        mru_clear = ((m[:, None] >> way_range) & 1) == 0
-        clear_way = np.argmax(mru_clear, axis=1)
-        victim = np.where(has_invalid, invalid_way, clear_way)
-        way = np.where(hit, hit_way, victim)
+        victim = np.where(has_invalid, invalid.argmax(axis=1),
+                          (((m[:, None] >> way_range) & 1) == 0).argmax(axis=1))
+        way = np.where(hit, hit_ways.argmax(axis=1), victim)
         bit = one << way
         touched = hit | alloc
-        evicted = rows[np.arange(active), victim]
-        evict_dirty = alloc & (evicted != -1) & (((dirty[su] >> victim) & 1) != 0)
-        writebacks += int(np.count_nonzero(evict_dirty))
+        evict_dirty = alloc & ~has_invalid & ((d & bit) != 0)
         tags[su[alloc], way[alloc]] = t[alloc]
-        d = dirty[su]
         d = np.where(alloc, d & ~bit, d)
         if write_back:
-            d = np.where(touched & w, d | bit, d)
+            newly_dirty = touched & w & ((d & bit) == 0)
+            d = np.where(newly_dirty, d | bit, d)
+            state.dirty_lines += int(np.count_nonzero(newly_dirty))
         dirty[su] = d
         new_m = m | bit
         if ways > 1:
             new_m = np.where(new_m == full, bit, new_m)
         mru[su] = np.where(touched, new_m, m)
-        hits[order[pos]] = hit
-    miss_lines = lines[~hits]
-    return hits, miss_lines, writebacks
+        writebacks = int(np.count_nonzero(evict_dirty))
+        state.resident_lines += int(np.count_nonzero(alloc & has_invalid))
+        state.dirty_lines -= writebacks
+        return hit, writebacks
+
+    return step

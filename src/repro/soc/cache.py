@@ -5,6 +5,11 @@ write-back, write-allocate, true-LRU cache and reports hits, misses and
 writebacks.  This is the reference model: the closed-form estimators in
 :mod:`repro.soc.analytic` are validated against it.
 
+State is three ``(num_sets, ways)`` arrays (tags, last-use stamps, dirty
+bits) replayed set-lockstep by :class:`repro.soc.lockstep.SetLockstep`,
+one access of every active set per round.  Resident and dirty counts
+are counters, so flushing or invalidating an empty cache is O(1).
+
 A cache can be *disabled* — every access then misses and bypasses the
 array without allocating.  This is how the zero-copy communication model
 is realized on boards that turn off the last-level caches (Jetson
@@ -13,13 +18,13 @@ Nano/TX2, and the GPU LLC on Xavier).
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.soc.lockstep import SetLockstep
 from repro.units import is_power_of_two
 
 
@@ -95,15 +100,7 @@ class CacheStats:
     def merge(self, other: "CacheStats") -> "CacheStats":
         """Element-wise sum, returned as a new object."""
         return CacheStats(
-            accesses=self.accesses + other.accesses,
-            hits=self.hits + other.hits,
-            misses=self.misses + other.misses,
-            read_accesses=self.read_accesses + other.read_accesses,
-            write_accesses=self.write_accesses + other.write_accesses,
-            writebacks=self.writebacks + other.writebacks,
-            flush_writebacks=self.flush_writebacks + other.flush_writebacks,
-            invalidations=self.invalidations + other.invalidations,
-            bypassed=self.bypassed + other.bypassed,
+            **{k: v + getattr(other, k) for k, v in vars(self).items()}
         )
 
     def snapshot(self) -> "CacheStats":
@@ -113,15 +110,7 @@ class CacheStats:
     def delta_since(self, earlier: "CacheStats") -> "CacheStats":
         """Counters accumulated since ``earlier`` was snapshotted."""
         return CacheStats(
-            accesses=self.accesses - earlier.accesses,
-            hits=self.hits - earlier.hits,
-            misses=self.misses - earlier.misses,
-            read_accesses=self.read_accesses - earlier.read_accesses,
-            write_accesses=self.write_accesses - earlier.write_accesses,
-            writebacks=self.writebacks - earlier.writebacks,
-            flush_writebacks=self.flush_writebacks - earlier.flush_writebacks,
-            invalidations=self.invalidations - earlier.invalidations,
-            bypassed=self.bypassed - earlier.bypassed,
+            **{k: v - getattr(earlier, k) for k, v in vars(self).items()}
         )
 
 
@@ -132,6 +121,11 @@ class AccessResult:
     hits: np.ndarray
     miss_line_addresses: np.ndarray
     writeback_lines: int
+
+    @classmethod
+    def empty(cls) -> "AccessResult":
+        """The outcome of an empty segment."""
+        return cls(np.empty(0, dtype=bool), np.empty(0, dtype=np.int64), 0)
 
     @property
     def num_hits(self) -> int:
@@ -147,10 +141,11 @@ class AccessResult:
 class SetAssociativeCache:
     """Write-back, write-allocate, true-LRU set-associative cache.
 
-    The tag store is one :class:`collections.OrderedDict` per set,
-    mapping tag → dirty flag, ordered LRU-first.  All operations are
-    O(1) per access, which keeps exact simulation usable up to a few
-    million transactions.
+    Tags are ``-1`` on invalid ways.  Stamps come from a clock that
+    ticks once per lockstep round, so a set's lowest stamp is its LRU
+    line; invalid ways carry stamp ``-1`` and are taken first.
+    ``resident_lines``/``dirty_lines`` change on every allocation,
+    eviction and dirtying.
     """
 
     def __init__(self, config: CacheConfig, enabled: bool = True) -> None:
@@ -159,27 +154,29 @@ class SetAssociativeCache:
         self.stats = CacheStats()
         self._line_shift = config.line_size.bit_length() - 1
         self._set_mask = config.num_sets - 1
-        self._sets: List[OrderedDict] = [OrderedDict() for _ in range(config.num_sets)]
+        self._set_bits = self._set_mask.bit_length()
+        shape = (config.num_sets, config.ways)
+        self._tags = np.full(shape, -1, dtype=np.int64)
+        self._stamps = np.full(shape, -1, dtype=np.int64)
+        self._dirty = np.zeros(shape, dtype=bool)
+        # Flat views of the same memory, indexed by set * ways + way.
+        self._tags_flat = self._tags.reshape(-1)
+        self._stamps_flat = self._stamps.reshape(-1)
+        self._dirty_flat = self._dirty.reshape(-1)
+        self._clock = 0
+        #: Lines currently valid / dirty, kept in step with the arrays.
+        self.resident_lines = 0
+        self.dirty_lines = 0
 
     # ------------------------------------------------------------------
     # state inspection
     # ------------------------------------------------------------------
 
-    @property
-    def resident_lines(self) -> int:
-        """Lines currently valid in the cache."""
-        return sum(len(s) for s in self._sets)
-
-    @property
-    def dirty_lines(self) -> int:
-        """Lines currently dirty."""
-        return sum(1 for s in self._sets for dirty in s.values() if dirty)
-
     def contains(self, address: int) -> bool:
         """True when the line holding ``address`` is resident."""
         line = address >> self._line_shift
-        tag = line >> self._set_mask.bit_length()
-        return tag in self._sets[line & self._set_mask]
+        row = self._tags[line & self._set_mask]
+        return bool(np.any(row == line >> self._set_bits))
 
     # ------------------------------------------------------------------
     # access
@@ -196,17 +193,13 @@ class SetAssociativeCache:
         """
         n = len(addresses)
         if n == 0:
-            return AccessResult(
-                hits=np.empty(0, dtype=bool),
-                miss_line_addresses=np.empty(0, dtype=np.int64),
-                writeback_lines=0,
-            )
-        writes = int(np.count_nonzero(is_write))
+            return AccessResult.empty()
+        writes = np.asarray(is_write, dtype=bool)
+        write_count = int(np.count_nonzero(writes))
         self.stats.accesses += n
-        self.stats.write_accesses += writes
-        self.stats.read_accesses += n - writes
+        self.stats.write_accesses += write_count
+        self.stats.read_accesses += n - write_count
 
-        lines = np.asarray(addresses, dtype=np.int64) >> self._line_shift
         if not self.enabled:
             # Disabled caches pass accesses through untouched, at the
             # original (transaction) granularity — this is the zero-copy
@@ -219,47 +212,54 @@ class SetAssociativeCache:
                 writeback_lines=0,
             )
 
-        set_bits = self._set_mask.bit_length()
-        set_idx = (lines & self._set_mask).tolist() if self._set_mask else [0] * n
-        tags = (lines >> set_bits).tolist()
-        write_list = np.asarray(is_write, dtype=bool).tolist()
-        line_list = lines.tolist()
-
-        hits = np.zeros(n, dtype=bool)
-        misses: List[int] = []
-        writebacks = 0
-        ways = self.config.ways
-        sets = self._sets
-
-        write_back = self.config.write_back
-        write_allocate = self.config.write_allocate
-        for i in range(n):
-            s = sets[set_idx[i]]
-            tag = tags[i]
-            dirty = write_list[i] and write_back
-            if tag in s:
-                hits[i] = True
-                s[tag] = s.pop(tag) or dirty  # move to MRU, accumulate dirty
-            else:
-                misses.append(line_list[i])
-                if write_allocate or not write_list[i]:
-                    if len(s) >= ways:
-                        _evicted_tag, was_dirty = s.popitem(last=False)
-                        if was_dirty:
-                            writebacks += 1
-                    s[tag] = dirty
+        lines = np.asarray(addresses, dtype=np.int64) >> self._line_shift
+        segment = SetLockstep(lines, writes, self._set_mask, self._set_bits,
+                              collapse=self.config.write_allocate)
+        hits, writebacks = segment.run(self._step)
 
         num_hits = int(np.count_nonzero(hits))
         self.stats.hits += num_hits
         self.stats.misses += n - num_hits
         self.stats.writebacks += writebacks
-        miss_addresses = (np.array(misses, dtype=np.int64) << self._line_shift
-                          if misses else np.empty(0, dtype=np.int64))
         return AccessResult(
             hits=hits,
-            miss_line_addresses=miss_addresses,
+            miss_line_addresses=lines[~hits] << self._line_shift,
             writeback_lines=writebacks,
         )
+
+    def _step(
+        self, sets: np.ndarray, tags: np.ndarray, writes: np.ndarray
+    ) -> Tuple[np.ndarray, int]:
+        """Retire one access in each of ``sets`` (distinct) at once."""
+        ways = self.config.ways
+        # Victim by default (lowest stamp: an invalid way, else the LRU
+        # line); a resident tag matches at most one way and overrides it.
+        way = self._stamps.take(sets, axis=0).argmin(axis=1)
+        hit_rows, hit_ways = np.divmod(
+            np.flatnonzero(self._tags.take(sets, axis=0) == tags[:, None]), ways
+        )
+        way[hit_rows] = hit_ways
+        hit = np.zeros(len(sets), dtype=bool)
+        hit[hit_rows] = True
+        result_hit = hit
+        if not self.config.write_allocate:
+            # A write miss bypasses a no-allocate cache untouched.
+            touched = hit | ~writes
+            sets, tags, writes, way, hit = (
+                a[touched] for a in (sets, tags, writes, way, hit))
+        flat = sets * ways + way
+        was_dirty = self._dirty_flat[flat]
+        kept_dirty = was_dirty & hit
+        now_dirty = kept_dirty | writes if self.config.write_back else kept_dirty
+        self.resident_lines += int(np.count_nonzero(self._tags_flat[flat] == -1))
+        self._tags_flat[flat] = tags
+        self._stamps_flat[flat] = self._clock
+        self._dirty_flat[flat] = now_dirty
+        self._clock += 1
+        dirty_before = int(np.count_nonzero(was_dirty))
+        self.dirty_lines += int(np.count_nonzero(now_dirty)) - dirty_before
+        # Dirty lines that were not hit are the evicted ones.
+        return result_hit, dirty_before - int(np.count_nonzero(kept_dirty))
 
     def access_single(self, address: int, is_write: bool = False) -> bool:
         """Replay one access; returns True on hit."""
@@ -280,19 +280,26 @@ class SetAssociativeCache:
         GPU kernel invocation.
         """
         dirty = self.dirty_lines
-        invalidated = self.resident_lines
-        for s in self._sets:
-            s.clear()
         self.stats.flush_writebacks += dirty
-        self.stats.invalidations += invalidated
+        self.stats.invalidations += self._clear()
         return dirty
 
     def invalidate(self) -> int:
         """Drop all lines without writing back (returns lines dropped)."""
-        count = self.resident_lines
-        for s in self._sets:
-            s.clear()
+        count = self._clear()
         self.stats.invalidations += count
+        return count
+
+    def _clear(self) -> int:
+        """Empty the arrays (a no-op when nothing is resident); returns
+        the lines dropped."""
+        count = self.resident_lines
+        if count:
+            self._tags.fill(-1)
+            self._stamps.fill(-1)
+            self._dirty.fill(False)
+            self.resident_lines = 0
+            self.dirty_lines = 0
         return count
 
     def warm_with(self, addresses: np.ndarray) -> None:
@@ -307,6 +314,5 @@ class SetAssociativeCache:
 
     def reset(self) -> None:
         """Clear contents and statistics."""
-        for s in self._sets:
-            s.clear()
+        self._clear()
         self.stats = CacheStats()
