@@ -16,6 +16,7 @@ thresholds.
 See ``docs/streaming.md`` for the architecture and bench methodology.
 """
 
+from repro.model.decision import proposed_model
 from repro.stream.contention import (
     AppWindow,
     ContendedDecision,
@@ -32,7 +33,6 @@ from repro.stream.engine import (
     StreamConfig,
     StreamResult,
     StreamTuner,
-    proposed_model,
 )
 from repro.stream.sources import (
     COUNTER_COLUMNS,
