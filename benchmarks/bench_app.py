@@ -14,8 +14,8 @@ from benchmarks.conftest import run_once
 from repro.analysis.tables import Table
 from repro.perf.regress import APP_PATHS
 
-#: Conservative speedup floors per path (None: reported, not asserted —
-#: the scene scatter and strict CSV decode are modest or negative wins).
+#: Conservative speedup floors per path (the strict CSV decode is a
+#: modest win).
 FLOORS = {
     "tiling": 10.0,
     "matching": 10.0,
@@ -23,7 +23,6 @@ FLOORS = {
     "trace_csv": 1.2,
     "mb3_balance_sweep": 2.0,
     "whatif_sweep": 1.5,
-    "scene": None,
 }
 
 

@@ -8,8 +8,7 @@ Two equivalent distance kernels exist: the byte-LUT reference (one
 popcount table lookup per XORed byte) and a packed path that views
 each descriptor as ``uint64`` words and popcounts 8 bytes per
 instruction.  Both produce identical integer distances; the packed
-path is skipped under fault injection and for descriptor widths that
-do not fill whole words.
+path is skipped for descriptor widths that do not fill whole words.
 """
 
 from __future__ import annotations
@@ -31,13 +30,6 @@ _POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 #: ``np.bitwise_count`` landed in NumPy 2.0; older installs take the
 #: SWAR reduction below.
 _HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
-
-
-def _injection_active() -> bool:
-    """Whether a fault plan is live (lazy import: no cycle at load)."""
-    from repro.robustness.inject import injection_active
-
-    return injection_active()
 
 
 def _popcount64(words: np.ndarray) -> np.ndarray:
@@ -94,8 +86,7 @@ def hamming_distance_matrix(a: np.ndarray, b: np.ndarray,
 
     With ``vectorized`` enabled, whole-word descriptor widths go
     through :func:`packed_hamming_distance_matrix`; the byte-LUT path
-    remains the reference fallback (and the only path under fault
-    injection).
+    remains the reference and the fallback for other widths.
     """
     a = np.asarray(a, dtype=np.uint8)
     b = np.asarray(b, dtype=np.uint8)
@@ -106,12 +97,7 @@ def hamming_distance_matrix(a: np.ndarray, b: np.ndarray,
         )
     if not len(a) or not len(b):
         return np.zeros((len(a), len(b)), dtype=np.int32)
-    if (
-        vectorized
-        and a.shape[1] % 8 == 0
-        and a.shape[1] > 0
-        and not _injection_active()
-    ):
+    if vectorized and a.shape[1] % 8 == 0 and a.shape[1] > 0:
         return packed_hamming_distance_matrix(a, b)
     xors = np.bitwise_xor(a[:, None, :], b[None, :, :])
     return _POPCOUNT[xors].sum(axis=2).astype(np.int32)
@@ -198,19 +184,17 @@ def match_descriptors(
         ratio: Lowe's ratio threshold (best < ratio * second-best).
         cross_check: also require the match to be mutual.
         vectorized: use the packed distance kernel and the batched
-            acceptance mask; the per-query loop remains the reference
-            fallback (and the only path under fault injection).
+            acceptance mask; the per-query loop remains the reference.
     """
     if not 0.0 < ratio <= 1.0:
         raise MatchingError(f"ratio must be in (0, 1], got {ratio}")
-    use_batch = vectorized and not _injection_active()
-    distances = hamming_distance_matrix(query, train, vectorized=use_batch)
+    distances = hamming_distance_matrix(query, train, vectorized=vectorized)
     if distances.size == 0:
         return []
     best = distances.argmin(axis=1)
     best_d = distances[np.arange(len(query)), best]
     reverse_best = distances.argmin(axis=0) if cross_check else None
-    select = _select_matches_vectorized if use_batch else _select_matches_scalar
+    select = _select_matches_vectorized if vectorized else _select_matches_scalar
     return select(
         distances, best, best_d, reverse_best, max_distance, ratio, cross_check
     )

@@ -81,13 +81,6 @@ class CentroidResult:
     method: CentroidMethod
 
 
-def _injection_active() -> bool:
-    """Whether a fault plan is live (lazy import: no cycle at load)."""
-    from repro.robustness.inject import injection_active
-
-    return injection_active()
-
-
 def _cog(window: np.ndarray) -> Tuple[float, float]:
     """Center of gravity of one window; the window center on an empty
     window (the reference position is the unbiased fallback)."""
@@ -151,8 +144,6 @@ def _extract_centroids_batched(
     ~0, where a different summation order could flip the empty-window
     fallback.
     """
-    if _injection_active():
-        return None
     if frame.size and float(frame.min()) < 0.0:
         return None
     size = grid.size_px
@@ -214,8 +205,7 @@ def extract_centroids(
             centers.
         vectorized: evaluate every subaperture in one batched
             reduction (within 1e-12 of the scalar loop, which remains
-            the reference fallback and the only path under fault
-            injection).
+            the reference and the fallback for negative frames).
     """
     grid.validate(image)
     if not 0.0 <= threshold_fraction < 1.0:

@@ -173,8 +173,7 @@ class TiledZeroCopyPattern:
         self.plan = plan
         #: Evaluate :meth:`overlapped_execution` by simulating one
         #: representative phase (every phase runs the same scaled jobs);
-        #: the per-phase loop remains the reference fallback and the
-        #: only path under fault injection.
+        #: the per-phase loop remains the reference.
         self.vectorized = vectorized
 
     def overlapped_execution(
@@ -195,7 +194,7 @@ class TiledZeroCopyPattern:
             _scaled_job(cpu_job, 1.0 / phases, efficiency),
             _scaled_job(gpu_job, 1.0 / phases, efficiency),
         ]
-        if self.vectorized and not _injection_active():
+        if self.vectorized:
             # All phases run identical job sets through a stateless
             # arbiter: simulate one and replay it.  The total is still
             # accumulated term by term so it matches the scalar loop's
@@ -218,13 +217,6 @@ class TiledZeroCopyPattern:
             total_time_s=total,
             sync_overhead_s=phases * self.plan.barrier_overhead_s,
         )
-
-
-def _injection_active() -> bool:
-    """Whether a fault plan is live (lazy import: no cycle at load)."""
-    from repro.robustness.inject import injection_active
-
-    return injection_active()
 
 
 def _scaled_job(job: OverlapJob, factor: float,

@@ -175,12 +175,7 @@ class SecondMicroBenchmark(MicroBenchmark):
         below the microbenchmarks only at call time.
         """
         from repro.perf.batch import BatchUnsupported, vectorized_second_sweep
-        from repro.robustness.inject import injection_active
 
-        if injection_active():
-            # Fault plans patch the scalar simulation seams; the batch
-            # engine would compute around them.
-            return None, None
         try:
             return vectorized_second_sweep(self, soc)
         except BatchUnsupported:

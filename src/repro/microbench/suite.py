@@ -125,28 +125,29 @@ class MicrobenchmarkSuite:
             },
         }
 
-    def _persistent_load(self, board: BoardConfig):
-        if self.cache is None:
-            return None
+    def _persistent(self):
+        """The persistent cache, or ``None`` when there is none or a
+        fault injector is active: a stored result was computed outside
+        the fault plan's reach (using it would mask the injected
+        faults), and a perturbed result must never be persisted."""
         from repro.robustness.inject import injection_active
 
-        if injection_active():
-            # A cached result was computed outside the fault plan's
-            # reach; using it would mask the injected faults.
+        if self.cache is None or injection_active():
             return None
-        return self.cache.load(board, self.cache_signature())
+        return self.cache
+
+    def _persistent_load(self, board: BoardConfig):
+        cache = self._persistent()
+        if cache is None:
+            return None
+        return cache.load(board, self.cache_signature())
 
     def _persistent_store(
         self, board: BoardConfig, device: DeviceCharacterization
     ) -> None:
-        if self.cache is None:
-            return
-        from repro.robustness.inject import injection_active
-
-        if injection_active():
-            # Never persist a perturbed characterization.
-            return
-        self.cache.store(board, self.cache_signature(), device)
+        cache = self._persistent()
+        if cache is not None:
+            cache.store(board, self.cache_signature(), device)
 
     def characterize(self, board: BoardConfig, force: bool = False,
                      retries: int = 0,
@@ -203,9 +204,7 @@ class MicrobenchmarkSuite:
         the stampede: lock gone, store still empty, follower
         recomputes.)
         """
-        from repro.robustness.inject import injection_active
-
-        if self.cache is None or force or injection_active():
+        if force or self._persistent() is None:
             value = self._characterize_with_retries(board, policy)
             self._persistent_store(board, value)
             return value
@@ -334,8 +333,6 @@ class MicrobenchmarkSuite:
         ZC-vs-SC measurement, so restricting the fractions yields the
         same values the full sweep would have produced at them.
         """
-        from repro.robustness.inject import injection_active
-
         bench = SecondMicroBenchmark(
             fractions=tuple(fractions),
             array_bytes=self.second.array_bytes,
@@ -346,7 +343,7 @@ class MicrobenchmarkSuite:
         with obs.span("microbench.probe", board=board.name,
                       points=len(bench.fractions)):
             points = None
-            if bench.vectorized and not injection_active():
+            if bench.vectorized:
                 from repro.perf.batch import (
                     BatchUnsupported,
                     vectorized_second_sweep,

@@ -177,12 +177,7 @@ class ThirdMicroBenchmark(MicroBenchmark):
         below the microbenchmarks only at call time.
         """
         from repro.perf.batch import BatchUnsupported, mb3_balance_results
-        from repro.robustness.inject import injection_active
 
-        if injection_active():
-            # Fault plans patch the scalar simulation seams; the batch
-            # engine would compute around them.
-            return None
         try:
             return mb3_balance_results(self, soc, balances)
         except BatchUnsupported:
@@ -197,7 +192,8 @@ class ThirdMicroBenchmark(MicroBenchmark):
         with ``vectorized`` enabled the three models execute once and
         the CPU phase is re-evaluated for all balances in one
         ``run_batch`` call; the scalar per-balance run is the reference
-        fallback (and the only path under fault injection).
+        fallback, taken whenever :mod:`repro.perf.batch` declares itself
+        unavailable (unsupported geometry or an active fault injector).
         """
         if not balances:
             raise ValueError("the balance sweep needs at least one point")

@@ -97,12 +97,7 @@ def _sweep_evaluator(workload: Workload, board: BoardConfig):
     below the model layer only at call time.
     """
     from repro.perf.batch import BatchUnsupported, ZcSweepEvaluator
-    from repro.robustness.inject import injection_active
 
-    if injection_active():
-        # Fault plans patch the scalar simulation seams; the closed
-        # form would compute around them.
-        return None
     try:
         return ZcSweepEvaluator(workload, board)
     except BatchUnsupported:

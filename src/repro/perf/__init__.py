@@ -27,7 +27,6 @@ the microbench → perf import edge acyclic.)
 from repro.perf.batch import (
     BatchUnsupported,
     ZcSweepEvaluator,
-    mb1_gpu_size_sweep,
     mb2_cpu_points,
     mb2_gpu_points,
     mb3_balance_results,
@@ -55,7 +54,6 @@ from repro.perf.regress import (
 __all__ = [
     "BatchUnsupported",
     "ZcSweepEvaluator",
-    "mb1_gpu_size_sweep",
     "mb2_cpu_points",
     "mb2_gpu_points",
     "mb3_balance_results",

@@ -63,13 +63,20 @@ def _require(condition: bool, why: str) -> None:
 
 def _require_analytic(soc: SoC) -> None:
     """Batch sweeps evaluate the closed form directly, so they are
-    analytic-only fast paths: under any other timing backend they
-    declare themselves unavailable and the caller falls back to the
-    scalar (per-point) path, which honours the backend."""
+    analytic-only fast paths: under any other timing backend — or while
+    a fault injector patches the simulation seams the closed form
+    computes around — they declare themselves unavailable and the
+    caller falls back to the scalar (per-point) path, which honours the
+    backend and the injected faults."""
+    # Imported lazily: the injector imports the microbenchmark suite,
+    # which reaches this module.
+    from repro.robustness.inject import injection_active
+
     _require(
         soc.backend.is_analytic,
         f"batch sweeps are analytic-only (backend is {soc.backend.name!r})",
     )
+    _require(not injection_active(), "a fault injector is active")
 
 
 def coalesced_rw_pair_transactions(
@@ -258,49 +265,6 @@ def vectorized_second_sweep(
             soc, bench.fractions, bench.array_bytes, bench.sweep_repeats
         )
     return gpu_points, cpu_points
-
-
-# ----------------------------------------------------------------------
-# MB1: the matrix-size sweep
-# ----------------------------------------------------------------------
-
-
-def mb1_gpu_size_sweep(
-    soc: SoC,
-    llc_fractions: Sequence[float],
-    sweep_repeats: int = 16,
-):
-    """SC kernel times of MB1's 2D-reduction at several matrix sizes.
-
-    One batch evaluation over the LLC fractions (MB1 proper uses 0.5);
-    returns a :class:`~repro.soc.phase.BatchPhaseResult` whose rows
-    align with ``llc_fractions``.
-    """
-    _require_analytic(soc)
-    element_size = 4
-    llc_bytes = soc.board.gpu.llc.size_bytes
-    counts = np.array(
-        [
-            max(1024, int(llc_bytes * fraction) // element_size)
-            for fraction in llc_fractions
-        ],
-        dtype=np.int64,
-    )
-    line = soc.gpu.config.l1.line_size
-    per_pass = coalesced_linear_read_transactions(
-        counts, element_size, line, soc.gpu.config.warp_size
-    )
-    footprint = _ceil_div(counts * element_size, line) * line
-    batch = SummaryBatch.build(
-        pattern=PatternKind.LINEAR,
-        per_pass=per_pass,
-        repeats=sweep_repeats,
-        footprint_bytes=footprint,
-        write_fraction=0.0,
-        transaction_size=line,
-    )
-    flops = counts.astype(np.float64) * sweep_repeats
-    return soc.gpu.run_batch(flops, batch)
 
 
 # ----------------------------------------------------------------------
@@ -546,6 +510,7 @@ class ZcSweepEvaluator:
                  "the board has no uncached GPU path to scale")
 
         soc = SoC(board)
+        _require_analytic(soc)
         model = ZeroCopyModel()
         self._report = model.execute(workload, soc)
         self._gpu_phase = self._report.gpu_phase

@@ -215,15 +215,6 @@ def _probe_centroids() -> _TimingPair:
     )
 
 
-def _probe_scene() -> _TimingPair:
-    from repro.apps.orbslam.pipeline import synthetic_scene
-
-    return _timing_pair(
-        lambda: synthetic_scene(640, 480, seed=3, blobs=400, vectorized=False),
-        lambda: synthetic_scene(640, 480, seed=3, blobs=400, vectorized=True),
-    )
-
-
 def _probe_tiling() -> _TimingPair:
     from repro.comm.tiling import TiledZeroCopyPattern
 
@@ -396,9 +387,6 @@ PROBES: Dict[str, Tuple[str, Callable[[], _TimingPair]]] = {
                                    _probe_stream_incremental),
     "stream.decisions_per_sec": ("BENCH_stream.json",
                                  _probe_stream_decisions),
-    # "scene" is reported in BENCH_app.json but not gated: its scatter
-    # rasterizer is not a wall-clock win (speedup < 1), so a threshold
-    # on it would only amplify timing noise.
 }
 
 
@@ -574,7 +562,6 @@ APP_PATHS: Dict[str, Tuple[Callable[[], _TimingPair], str]] = {
     "mb3_balance_sweep": (_probe_mb3, "MB3 7-point balance sweep [nano]"),
     "whatif_sweep": (_probe_whatif, "7-factor ZC what-if sweep, MB3 "
                                     "workload [tx2]"),
-    "scene": (_probe_scene, "640x480 400-blob synthetic scene"),
 }
 
 

@@ -41,13 +41,6 @@ TRACE_ROW_DTYPE = np.dtype([("offset", np.int64), ("write", np.bool_)])
 _WRITE_FLAGS = ("w", "1", "true", "write", "st")
 
 
-def _injection_active() -> bool:
-    """Whether a fault plan is live (lazy import: no cycle at load)."""
-    from repro.robustness.inject import injection_active
-
-    return injection_active()
-
-
 #: Powers of ten for the vectorized digit contraction (int64-safe).
 _POW10 = 10 ** np.arange(19, dtype=np.int64)
 
@@ -231,9 +224,8 @@ class RecordedTrace:
         A header row is skipped automatically when its first cell is
         not numeric; a UTF-8 BOM on the first row is stripped.  With
         ``vectorized`` the file is parsed as NumPy structured-array
-        operations (no per-row handling); quoted cells — and an active
-        fault injector — fall back to the scalar ``csv`` parser, which
-        remains the reference.
+        operations (no per-row handling); quoted cells fall back to the
+        scalar ``csv`` parser, which remains the reference.
         """
         if isinstance(source, (str, pathlib.Path)):
             with open(source, "r", newline="") as handle:
@@ -242,11 +234,7 @@ class RecordedTrace:
             text = source.read()
         if text.startswith("\ufeff"):
             text = text[1:]
-        rows: Optional[np.ndarray] = None
-        if vectorized and '"' not in text and not _injection_active():
-            rows = cls._parse_csv_vectorized(text)
-        if rows is None:
-            rows = cls._parse_csv_scalar(io.StringIO(text, newline=""))
+        rows = cls._parse_block(text, vectorized)
         if len(rows) == 0:
             raise ProfilingError("the CSV contained no trace rows")
         return cls(
@@ -270,9 +258,9 @@ class RecordedTrace:
         read a bounded number of characters at a time and parsed with
         the same strict-form NumPy fast path as :meth:`from_csv` — the
         scalar ``csv`` parser remains the per-block fallback (quoted
-        cells, non-ASCII text, an active fault injector), so the
-        concatenated chunks are row-identical to a whole-file
-        :meth:`from_csv` parse, errors included.
+        cells, non-ASCII text), so the concatenated chunks are
+        row-identical to a whole-file :meth:`from_csv` parse, errors
+        included.
 
         A stream with no trace rows at all raises the same
         :class:`~repro.errors.ProfilingError` as :meth:`from_csv`.
@@ -364,9 +352,11 @@ class RecordedTrace:
 
     @classmethod
     def _parse_block(cls, text: str, vectorized: bool) -> np.ndarray:
-        """One block through the same parser choice as :meth:`from_csv`."""
+        """Parse one block: the NumPy fast path when it applies, else
+        the ``csv`` reference (quoted cells, text outside the strict
+        form, or ``vectorized=False``)."""
         rows: Optional[np.ndarray] = None
-        if vectorized and '"' not in text and not _injection_active():
+        if vectorized and '"' not in text:
             rows = cls._parse_csv_vectorized(text)
         if rows is None:
             rows = cls._parse_csv_scalar(io.StringIO(text, newline=""))

@@ -29,7 +29,6 @@ from repro.robustness.inject import (
     FaultInjector,
     InjectionEvent,
     inject_faults,
-    injection_active,
 )
 
 __all__ = [
@@ -39,7 +38,6 @@ __all__ = [
     "FaultInjector",
     "InjectionEvent",
     "inject_faults",
-    "injection_active",
     "SoCGuards",
     "ValidationReport",
     "validate",

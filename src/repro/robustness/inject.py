@@ -1,6 +1,6 @@
 """Fault-injection harness: apply a :class:`FaultPlan` to live runs.
 
-The injector patches three seams for the duration of a ``with`` block:
+The injector patches six seams for the duration of a ``with`` block:
 
 - :meth:`SoC._copy_time` — copy-engine stalls (``COPY_STALL``), placed
   *below* the invariant guards so a stalled transfer is observable by
@@ -27,6 +27,15 @@ The injector patches three seams for the duration of a ``with`` block:
 All randomness comes from the plan's single seeded stream, consumed in
 simulation order — the same plan on the same scenario reproduces the
 identical fault sequence and report.
+
+Pure computations that reach none of these seams (trace decoding,
+stream windows and drift, app kernels, the cache/DRAM replay engines)
+run their fast paths unchanged under an active plan.  Only code that
+computes *around* a seam consults :func:`injection_active`: the
+closed-form batch engine (:mod:`repro.perf.batch`), the persistent
+characterization store and the process fan-out of
+:class:`~repro.microbench.suite.MicrobenchmarkSuite`, and the
+surrogate's prediction path (:mod:`repro.explore.surrogate`).
 """
 
 from __future__ import annotations
@@ -58,10 +67,11 @@ _ACTIVE: List["FaultInjector"] = []
 def injection_active() -> bool:
     """Whether a fault injector is currently patched in.
 
-    Fast paths that skip simulation seams (the vectorized sweeps, the
-    persistent characterization cache) must consult this and fall back
-    to the full scalar path, or an injected fault could be masked by a
-    result computed — or cached — outside its reach.
+    Only a path that computes around a patched seam consults this (the
+    closed-form batch sweeps, the persistent characterization store,
+    worker processes that escape the patches, the surrogate) and falls
+    back to the seam-honouring path, or an injected fault could be
+    masked by a result computed — or cached — outside its reach.
     """
     return bool(_ACTIVE)
 

@@ -40,9 +40,9 @@ class SimConfig:
             (random) traffic.
         contention_quantum_bytes: arbitration granularity of the
             shared-interconnect contention queue.
-        vectorized: use the NumPy lockstep engine; the scalar reference
-            is forced by ``vectorized=False`` or an active fault
-            injection, and both are pinned bit-identical by tests.
+        vectorized: use the NumPy lockstep engine; ``vectorized=False``
+            forces the scalar reference, and both are pinned
+            bit-identical by tests.
         seed: seed for synthesized sparse access streams.
     """
 

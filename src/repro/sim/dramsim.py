@@ -31,14 +31,6 @@ import numpy as np
 from repro.sim.config import SimConfig
 
 
-def _injection_active() -> bool:
-    # Imported lazily to avoid a cycle (inject patches SoC seams and so
-    # imports repro.soc, which imports this module via the hierarchy).
-    from repro.robustness.inject import injection_active
-
-    return injection_active()
-
-
 class DRAMSimState:
     """Open-row tracking for every bank (-1 = all banks precharged)."""
 
@@ -103,7 +95,7 @@ def access(
     rows_global = np.asarray(addresses, dtype=np.int64) >> state.row_shift
     banks = rows_global & state.bank_mask
     rows = rows_global >> state.bank_bits
-    if vectorized and not _injection_active():
+    if vectorized:
         hit_mask = _access_vectorized(state, banks, rows)
     else:
         hit_mask = _access_scalar(state, banks, rows)

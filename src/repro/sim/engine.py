@@ -22,8 +22,7 @@ Two implementations share the same :class:`CacheSimState`:
 
 Both paths are pinned bit-identical (hit masks, miss order, writebacks,
 final state) by property tests in ``tests/sim``; ``vectorized=False``
-or an active fault injection forces the scalar reference, like every
-other vectorized seam in the repo.
+forces the scalar reference.
 """
 
 from __future__ import annotations
@@ -38,13 +37,6 @@ from repro.soc.cache import AccessResult
 from repro.soc.lockstep import SetLockstep, Step
 from repro.units import is_power_of_two
 
-
-def _injection_active() -> bool:
-    # Imported lazily: repro.robustness.inject patches SoC seams and so
-    # imports repro.soc, which imports this module via the hierarchy.
-    from repro.robustness.inject import injection_active
-
-    return injection_active()
 
 #: Below this many (collapsed) accesses per segment, or when one set
 #: receives more than 1/8 of them, lockstep rounds degenerate and the
@@ -126,16 +118,15 @@ def access_trace(
 ) -> AccessResult:
     """Replay a trace segment through the bit-PLRU cache.
 
-    ``vectorized=False`` (or an active fault injection) runs the scalar
-    reference on the raw trace; otherwise the set-lockstep fast path
-    runs, producing bit-identical results.
+    ``vectorized=False`` runs the scalar reference on the raw trace;
+    otherwise the set-lockstep fast path runs, producing bit-identical
+    results.
     """
     if len(addresses) == 0:
         return AccessResult.empty()
     lines = np.asarray(addresses, dtype=np.int64) >> state.line_shift
     writes = np.ascontiguousarray(is_write, dtype=bool)
-    fast = vectorized and not _injection_active()
-    replay = _access_fast if fast else _core_scalar
+    replay = _access_fast if vectorized else _core_scalar
     hits, writebacks = replay(state, lines, writes, write_back, write_allocate)
     return AccessResult(
         hits=hits,

@@ -26,10 +26,8 @@ provided:
   profile's rates — the fidelity tests stream the paper workloads this
   way and assert zero spurious flips.
 
-Both extraction paths (vectorized NumPy and the scalar reference) work
-in exact integer arithmetic and produce bit-identical features; the
-vectorized path is disabled under :func:`injection_active`, matching
-the PR 2/4 convention.
+Trace feature extraction is vectorized NumPy in exact integer
+arithmetic; the tests pin it to a one-access-at-a-time reference.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ import numpy as np
 from repro.errors import StreamError
 from repro.profiling.counters import AppProfile, ProfileColumns
 from repro.profiling.trace import RecordedTrace
-from repro.stream.window import _injection_active
 
 
 def _safe_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -367,8 +364,7 @@ class TraceWindowSource:
                  initial_model: str = "SC",
                  access_size: int = 4,
                  locality: LocalityModel = LocalityModel(),
-                 cpu_side: CpuSideModel = CpuSideModel(),
-                 vectorized: bool = True) -> None:
+                 cpu_side: CpuSideModel = CpuSideModel()) -> None:
         self._trace: Optional[RecordedTrace] = None
         self._chunks: Optional[Iterable[np.ndarray]] = None
         if isinstance(trace_chunks, RecordedTrace):
@@ -382,9 +378,6 @@ class TraceWindowSource:
         self.access_size = access_size
         self.locality = locality.validated()
         self.cpu_side = cpu_side
-        self.vectorized = vectorized
-        #: Which extraction path produced the last chunk's features.
-        self.last_mode: Optional[str] = None
         self._reset_state()
 
     @classmethod
@@ -424,12 +417,7 @@ class TraceWindowSource:
         lines = np.asarray(offsets, dtype=np.int64) // self.locality.line_size
         if len(lines) == 0:
             return np.empty((0, len(TRACE_COLUMNS)), dtype=np.int64)
-        if self.vectorized and not _injection_active():
-            self.last_mode = "vectorized"
-            l1_hit, llc_hit = self._classify_vectorized(lines)
-        else:
-            self.last_mode = "scalar"
-            l1_hit, llc_hit = self._classify_scalar(lines)
+        l1_hit, llc_hit = self._classify(lines)
         loc = self.locality
         n = len(lines)
         features = np.empty((n, len(TRACE_COLUMNS)), dtype=np.int64)
@@ -442,8 +430,9 @@ class TraceWindowSource:
             l1_hit, loc.l1_ns, np.where(llc_hit, loc.llc_ns, loc.dram_ns))
         return features
 
-    def _classify_vectorized(self, lines: np.ndarray
-                             ) -> Tuple[np.ndarray, np.ndarray]:
+    def _classify(self, lines: np.ndarray
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+        """L1/LLC hit flags of one chunk, carrying the locality state."""
         loc = self.locality
         n = len(lines)
         # L1: line seen within the last `l1_recent` accesses.  Pad the
@@ -479,26 +468,6 @@ class TraceWindowSource:
         last = np.flatnonzero(np.concatenate([first[1:],
                                               np.ones(1, dtype=bool)]))
         self._set_lines[s_sorted[last]] = l_sorted[last]
-        return l1_hit, llc_hit & ~l1_hit
-
-    def _classify_scalar(self, lines: np.ndarray
-                         ) -> Tuple[np.ndarray, np.ndarray]:
-        """Reference path: one access at a time, identical semantics."""
-        loc = self.locality
-        recent = list(self._recent)
-        n = len(lines)
-        l1_hit = np.zeros(n, dtype=bool)
-        llc_hit = np.zeros(n, dtype=bool)
-        for i in range(n):
-            line = int(lines[i])
-            l1_hit[i] = line in recent
-            cache_set = line % loc.llc_sets
-            llc_hit[i] = self._set_lines[cache_set] == line
-            self._set_lines[cache_set] = line
-            recent.append(line)
-            if len(recent) > loc.l1_recent:
-                recent.pop(0)
-        self._recent = np.asarray(recent, dtype=np.int64)
         return l1_hit, llc_hit & ~l1_hit
 
     # -- window -> profile ---------------------------------------------

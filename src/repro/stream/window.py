@@ -13,12 +13,11 @@ All features are **int64 counts** (accesses, hits, bytes, integer
 nanoseconds).  Integer addition is exact and associative, so a
 prefix-sum difference is *bit-identical* to directly summing the same
 window slice — the property the equivalence tests and the
-``stream.incremental_speedup`` regression probe both pin down.
-
-Following the PR 2/4 convention, the incremental path is disabled while
-a fault injection plan is active (:func:`injection_active`): the
-windower then falls back to the per-window recompute reference, and
-records which path answered in :attr:`SlidingWindow.last_mode`.
+``stream.incremental_speedup`` regression probe both pin down.  No
+fault-injection seam is reachable from either path, so the incremental
+path stays on under an active fault plan; ``incremental=False`` selects
+the per-window recompute reference, and :attr:`SlidingWindow.last_mode`
+records which path answered.
 """
 
 from __future__ import annotations
@@ -29,13 +28,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.errors import StreamError
-
-
-def _injection_active() -> bool:
-    """Whether a fault plan is live (lazy import: no cycle at load)."""
-    from repro.robustness.inject import injection_active
-
-    return injection_active()
 
 
 @dataclass(frozen=True)
@@ -95,7 +87,7 @@ class SlidingWindow:
         self.num_features = num_features
         self.incremental = incremental
         #: Which path produced the last push's sums ("incremental" or
-        #: "recompute") — the fault-gate tests read this.
+        #: "recompute").
         self.last_mode: Optional[str] = None
         self._seen = 0
         self._tail = np.empty((0, num_features), dtype=np.int64)
@@ -149,7 +141,7 @@ class SlidingWindow:
         if len(emissions):
             hi = emissions - base
             lo = hi - window
-            if self.incremental and not _injection_active():
+            if self.incremental:
                 self.last_mode = "incremental"
                 sums = self._incremental_sums(ext, lo, hi)
             else:

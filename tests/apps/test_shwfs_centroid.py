@@ -176,16 +176,31 @@ class TestVectorizedEquivalence:
         assert np.array_equal(fast.centroids, slow.centroids)
         assert np.array_equal(fast.intensities, slow.intensities)
 
-    def test_injection_uses_scalar_path(self):
+    def test_injection_uses_scalar_path(self, monkeypatch):
+        """No fault seam is reachable from centroid extraction: under an
+        active plan the batched path still answers, and it agrees with
+        the clean scalar loop."""
+        import repro.apps.shwfs.centroid as centroid
         from repro.robustness.faults import FaultPlan
         from repro.robustness.inject import inject_faults
 
         rng = np.random.default_rng(12)
         grid = SubapertureGrid(rows=3, cols=4, size_px=8)
         frame = rng.random((24, 32))
-        from repro.apps.shwfs.centroid import extract_centroids
+        calls = []
+        real = centroid._extract_centroids_batched
 
-        clean = extract_centroids(frame, grid, vectorized=False)
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        clean = centroid.extract_centroids(frame, grid, vectorized=False)
+        monkeypatch.setattr(centroid, "_extract_centroids_batched", spy)
         with inject_faults(FaultPlan(seed=0)):
-            injected = extract_centroids(frame, grid, vectorized=True)
-        assert np.array_equal(injected.centroids, clean.centroids)
+            injected = centroid.extract_centroids(frame, grid,
+                                                  vectorized=True)
+        assert calls, "the batched path did not answer under injection"
+        assert np.allclose(injected.centroids, clean.centroids,
+                           rtol=1e-12, atol=1e-12)
+        assert np.allclose(injected.intensities, clean.intensities,
+                           rtol=1e-12, atol=1e-12)

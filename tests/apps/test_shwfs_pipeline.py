@@ -150,6 +150,8 @@ class TestProcessFrames:
         assert all(r.recovered_modes is None for r in batch)
 
     def test_injection_runs_serially(self):
+        """Frame processing reaches no fault seam: under an active plan
+        the batch answer equals the clean one."""
         from repro.robustness.inject import FaultInjector, FaultPlan
 
         pipeline = ShwfsPipeline()

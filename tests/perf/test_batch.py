@@ -14,7 +14,6 @@ from repro.perf.batch import (
     BatchUnsupported,
     coalesced_linear_read_transactions,
     coalesced_rw_pair_transactions,
-    mb1_gpu_size_sweep,
     mb2_cpu_points,
     mb2_gpu_points,
 )
@@ -115,23 +114,6 @@ class TestAnalyticExactness:
             )
             assert point.sc_time_s == pytest.approx(sc_time, rel=1e-12)
             assert point.zc_time_s == pytest.approx(zc_time, rel=1e-12)
-
-    def test_mb1_size_sweep(self, board_name):
-        board = get_board(board_name)
-        fractions = (0.25, 0.5, 1.0)
-        repeats = 16
-        batch = mb1_gpu_size_sweep(SoC(board), fractions, repeats)
-        assert len(batch) == len(fractions)
-        llc_bytes = board.gpu.llc.size_bytes
-        for i, fraction in enumerate(fractions):
-            count = max(1024, int(llc_bytes * fraction) // 4)
-            soc = SoC(board)
-            buffer = _pinned_buffer(soc, count * 4)
-            stream = AccessStream.linear(buffer, repeats=repeats)
-            scalar = soc.gpu.run(
-                "mb1", float(count * repeats), stream, mode="analytic"
-            )
-            assert batch.time_s[i] == pytest.approx(scalar.time_s, rel=1e-12)
 
 
 @pytest.mark.parametrize("board_name", BOARDS)

@@ -4,8 +4,9 @@ The NumPy lockstep fast path (and its run-collapse preprocessing) must
 be *bit-identical* to the temporal-order scalar replay — same hit mask,
 same miss lines in temporal order, same writeback count, same final
 tag/MRU/dirty state — for any trace and any cache geometry.  The same
-pinning covers the DRAM row-buffer model, and fault injection must
-force the scalar path exactly like every other vectorized seam.
+pinning covers the DRAM row-buffer model.  No fault-injection seam is
+reachable from either engine, so the fast paths stay on under an
+active fault plan.
 """
 
 import numpy as np
@@ -106,43 +107,53 @@ def test_dram_vectorized_matches_scalar(addrs):
 
 
 def test_injection_forces_scalar_cache_path(monkeypatch):
-    """An active fault injection must bypass the lockstep fast path."""
+    """An active fault plan keeps the lockstep fast path, and it equals
+    a clean scalar replay."""
     calls = []
     import repro.sim.engine as engine
 
-    real = engine._core_scalar
+    real = engine._access_fast
 
     def spy(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(engine, "_core_scalar", spy)
-    # Long linear trace: without injection this takes the lockstep path.
+    monkeypatch.setattr(engine, "_access_fast", spy)
+    # Long linear trace: large enough for the lockstep path.
     addrs = np.arange(4096, dtype=np.int64) * 64
     writes = np.zeros(4096, dtype=bool)
     state = CacheSimState(num_sets=64, ways=4, line_size=64)
     with inject_faults(FaultPlan(seed=0)):
         result = access_trace(state, addrs, writes, vectorized=True)
-    assert calls, "injection did not force the scalar reference"
-    # And the forced-scalar result still matches a clean vectorized run.
+    assert calls, "injection bypassed the lockstep fast path"
     clean = CacheSimState(num_sets=64, ways=4, line_size=64)
-    expected = access_trace(clean, addrs, writes, vectorized=True)
+    expected = access_trace(clean, addrs, writes, vectorized=False)
     assert np.array_equal(result.hits, expected.hits)
+    assert np.array_equal(result.miss_line_addresses,
+                          expected.miss_line_addresses)
+    assert result.writeback_lines == expected.writeback_lines
     assert state.state_equal(clean)
 
 
 def test_injection_forces_scalar_dram_path(monkeypatch):
+    """An active fault plan keeps the vectorized DRAM path, and it
+    equals a clean scalar replay."""
     calls = []
-    real = dramsim._access_scalar
+    real = dramsim._access_vectorized
 
     def spy(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(dramsim, "_access_scalar", spy)
+    monkeypatch.setattr(dramsim, "_access_vectorized", spy)
     config = SimConfig()
     state = dramsim.DRAMSimState(config)
     addrs = np.arange(1024, dtype=np.int64) * 64
     with inject_faults(FaultPlan(seed=0)):
-        dramsim.access(state, addrs, vectorized=True)
-    assert calls, "injection did not force the scalar DRAM reference"
+        result = dramsim.access(state, addrs, vectorized=True)
+    assert calls, "injection bypassed the vectorized DRAM path"
+    clean = dramsim.DRAMSimState(config)
+    expected = dramsim.access(clean, addrs, vectorized=False)
+    assert np.array_equal(result.hit_mask, expected.hit_mask)
+    assert result.row_hits == expected.row_hits
+    assert np.array_equal(state.open_rows, clean.open_rows)

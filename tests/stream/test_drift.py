@@ -1,4 +1,4 @@
-"""Drift detector: warm-up, step response, determinism, fault parity."""
+"""Drift detector: warm-up, step response, determinism, reference parity."""
 
 import numpy as np
 import pytest
@@ -87,9 +87,55 @@ class TestDeterminism:
                               run_detector(metrics))
 
     def test_injection_scalar_path_matches(self):
+        # No fault seam is reachable from the detector: an active plan
+        # changes nothing.
         rng = np.random.default_rng(13)
         metrics = rng.uniform(0, 50, size=(80, 2))
         clean = run_detector(metrics)
         with inject_faults(FaultPlan(seed=0)):
             gated = run_detector(metrics)
         assert np.array_equal(gated, clean)
+
+
+def reference_flags(metrics, config=CFG):
+    """Per-emission reference: re-sum each reference slice directly."""
+    flags = np.zeros(len(metrics), dtype=bool)
+    if not config.enabled:
+        return flags
+    for g in range(len(metrics)):
+        hi = g - config.lag
+        lo = hi - config.reference
+        if lo < 0:
+            continue
+        ref = metrics[lo:hi].sum(axis=0) / config.reference
+        dev = np.abs(metrics[g] - ref)
+        tol = np.maximum(config.rel_threshold * np.abs(ref),
+                         config.abs_floor_pct)
+        flags[g] = bool((dev > tol).any())
+    return flags
+
+
+class TestReference:
+    """The prefix-sum update equals the direct per-emission re-sum.
+
+    Metrics are multiples of 1/8 in a small range, so every partial
+    sum is exact in float64 and the two arithmetics must agree bit for
+    bit; random block splits cover the carried history.
+    """
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_blocks_match_reference(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        config = DriftConfig(lag=int(rng.integers(1, 5)),
+                             reference=int(rng.integers(1, 9)))
+        n = int(rng.integers(40, 150))
+        # Four plateaus with small noise: steps flag, plateaus do not.
+        levels = np.repeat(rng.integers(8, 40, size=4), -(-n // 4))[:n]
+        metrics = levels[:, None] + rng.integers(-8, 9, size=(n, 3)) / 8.0
+        expected = reference_flags(metrics, config)
+        warm = config.lag + config.reference
+        assert expected[warm:].any() and not expected[warm:].all()
+        detector = DriftDetector(config, num_metrics=3)
+        cuts = np.sort(rng.choice(np.arange(1, n), size=6, replace=False))
+        got = [detector.update(block) for block in np.split(metrics, cuts)]
+        assert np.array_equal(np.concatenate(got), expected)

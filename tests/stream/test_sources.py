@@ -93,16 +93,48 @@ def sample_trace(n=4096, seed=5):
                          is_write=rng.random(n) < 0.25)
 
 
+def reference_features(trace, locality=LocalityModel()):
+    """One-access-at-a-time reference for the trace feature matrix.
+
+    L1 hit: the line is among the last ``l1_recent`` accessed lines.
+    LLC hit: the direct-mapped set still holds the line, and the access
+    did not already hit L1.
+    """
+    recent = []
+    set_lines = [-1] * locality.llc_sets
+    rows = []
+    for offset, write in zip(trace.offsets, trace.is_write):
+        line = int(offset) // locality.line_size
+        l1 = line in recent
+        cache_set = line % locality.llc_sets
+        llc = set_lines[cache_set] == line and not l1
+        set_lines[cache_set] = line
+        recent.append(line)
+        if len(recent) > locality.l1_recent:
+            recent.pop(0)
+        latency = (locality.l1_ns if l1 else
+                   locality.llc_ns if llc else locality.dram_ns)
+        rows.append([1, int(write), trace.access_size, int(l1), int(llc),
+                     latency])
+    return np.asarray(rows, dtype=np.int64).reshape(-1, 6)
+
+
 class TestTraceSource:
     def test_vectorized_matches_scalar(self):
-        trace = sample_trace()
-        fast = TraceWindowSource(trace, "t", "xavier", vectorized=True)
-        slow = TraceWindowSource(trace, "t", "xavier", vectorized=False)
-        fast_rows = np.concatenate(list(fast.feature_chunks(512)))
-        slow_rows = np.concatenate(list(slow.feature_chunks(512)))
-        assert fast.last_mode == "vectorized"
-        assert slow.last_mode == "scalar"
-        assert np.array_equal(fast_rows, slow_rows)
+        """``feature_chunks`` equals the scalar reference for several
+        traces, locality models and chunk sizes (locality state crosses
+        chunk cuts)."""
+        small = LocalityModel(line_size=16, l1_recent=3, llc_sets=5)
+        for seed, n, locality in ((5, 4096, LocalityModel()),
+                                  (21, 1500, LocalityModel()),
+                                  (22, 333, small)):
+            trace = sample_trace(n=n, seed=seed)
+            expected = reference_features(trace, locality)
+            source = TraceWindowSource(trace, "t", "xavier",
+                                       locality=locality)
+            for chunk in (1, 7, 64, 512, n):
+                rows = np.concatenate(list(source.feature_chunks(chunk)))
+                assert np.array_equal(rows, expected), (seed, chunk)
 
     def test_chunking_invariant(self):
         trace = sample_trace(seed=6)
@@ -112,13 +144,14 @@ class TestTraceSource:
         assert np.array_equal(big, small)
 
     def test_injection_uses_scalar_path(self):
+        """No fault seam is reachable from feature extraction: under an
+        active plan the one (vectorized) classifier still answers, and
+        equals the clean scalar reference."""
         trace = sample_trace(seed=7)
-        source = TraceWindowSource(trace, "t", "xavier", vectorized=True)
-        clean = np.concatenate(list(source.feature_chunks(512)))
+        source = TraceWindowSource(trace, "t", "xavier")
         with inject_faults(FaultPlan(seed=0)):
             gated = np.concatenate(list(source.feature_chunks(512)))
-            assert source.last_mode == "scalar"
-        assert np.array_equal(gated, clean)
+        assert np.array_equal(gated, reference_features(trace))
 
     def test_csv_stream_is_single_pass(self, tmp_path):
         path = tmp_path / "trace.csv"
